@@ -14,25 +14,30 @@
 //!    [`ElementCache`] keyed by `(col, type, sim)` signatures, shared across
 //!    rules; entries are invalidated only when a repair rewrites their
 //!    column.
+//!
+//! This module holds the per-tuple chase. Relations are driven by the one
+//! row scheduler in [`parallel`](crate::repair::parallel):
+//! [`FastRepairer::repair_relation`] and [`fast_repair`] run it with one
+//! worker, so every thread count shares the same prewarm, panic isolation,
+//! retries and instrumentation.
 
-use crate::context::{FootprintRecorder, MatchContext};
-use crate::repair::basic::{PhaseTimings, RelationReport, RepairStep, TupleReport};
+use crate::context::MatchContext;
+use crate::repair::basic::{RelationReport, RepairStep, TupleReport};
 use crate::repair::budget::BudgetMeter;
 use crate::repair::cache::ElementCache;
+use crate::repair::parallel::{drive, ParallelOptions};
 use crate::repair::resilience::TupleOutcome;
 use crate::repair::rule_graph::RuleGraph;
-use crate::repair::value_cache::ValueCache;
 use crate::rule::apply::{apply_rule_metered, ApplyOptions, RuleApplication};
 use crate::rule::DetectiveRule;
 use dr_relation::{Relation, Tuple};
-use std::time::Instant;
 
 /// A prepared fast repairer: rule set + precomputed check order.
 ///
 /// Construction sorts the rules once (`O(|Σ| + |Er|)`); the order is reused
 /// for every tuple.
 pub struct FastRepairer<'r> {
-    rules: &'r [DetectiveRule],
+    pub(crate) rules: &'r [DetectiveRule],
     order: Vec<Vec<usize>>,
 }
 
@@ -60,46 +65,13 @@ impl<'r> FastRepairer<'r> {
         self.repair_tuple_with(ctx, tuple, opts, &mut ElementCache::new(), &meter)
     }
 
-    /// [`Self::repair_tuple`] with the per-tuple overlay backed by a
-    /// relation-scoped [`ValueCache`], so element checks also share across
-    /// tuples (and across threads — see
-    /// [`parallel_repair`](crate::repair::parallel::parallel_repair)).
-    pub fn repair_tuple_shared(
-        &self,
-        ctx: &MatchContext<'_>,
-        tuple: &mut Tuple,
-        opts: &ApplyOptions,
-        shared: &ValueCache,
-    ) -> TupleReport {
-        let meter = ctx.budget().meter();
-        self.repair_tuple_shared_metered(ctx, tuple, opts, shared, &meter)
-    }
-
-    /// [`Self::repair_tuple_shared`] spending a caller-owned
-    /// [`BudgetMeter`] — the entry point for callers that need to observe
-    /// or pre-trip the meter (the parallel scheduler, fault injection).
-    pub fn repair_tuple_shared_metered(
-        &self,
-        ctx: &MatchContext<'_>,
-        tuple: &mut Tuple,
-        opts: &ApplyOptions,
-        shared: &ValueCache,
-        meter: &BudgetMeter,
-    ) -> TupleReport {
-        self.repair_tuple_with(
-            ctx,
-            tuple,
-            opts,
-            &mut ElementCache::with_shared(shared),
-            meter,
-        )
-    }
-
     /// Innermost entry point: repairs one tuple through a caller-owned
-    /// element cache. Crate-visible so relation-level drivers (the loop
-    /// below, the parallel scheduler) can keep the cache after the call and
-    /// read its per-tuple [`level_stats`](ElementCache::level_stats) for
-    /// trace events.
+    /// element cache and budget meter. Crate-visible so the relation driver
+    /// can back the cache with the shared
+    /// [`ValueCache`](crate::repair::value_cache::ValueCache), keep it
+    /// after the call to read its per-tuple
+    /// [`level_stats`](ElementCache::level_stats) for trace events, and
+    /// pre-trip the meter under fault injection.
     pub(crate) fn repair_tuple_with(
         &self,
         ctx: &MatchContext<'_>,
@@ -216,150 +188,28 @@ impl<'r> FastRepairer<'r> {
     }
 
     /// Repairs every tuple of `relation`, sharing a relation-scoped
-    /// [`ValueCache`] across tuples: identical cell values recur across rows
-    /// (duplicate-heavy columns), and their element checks are computed
-    /// once. When the context carries a
+    /// [`ValueCache`](crate::repair::value_cache::ValueCache) across
+    /// tuples: identical cell values recur across rows (duplicate-heavy
+    /// columns), and their element checks are computed once. When the context carries a
     /// [`CacheRegistry`](crate::repair::registry::CacheRegistry), the cache
     /// is the registry's persistent, schema-keyed instance and this repair
     /// warm-starts from earlier same-schema relations. The cache counters
     /// (this repair's delta, not the cache's lifetime totals) and per-phase
-    /// timings land in the report.
+    /// timings land in the report. This is the row scheduler with one
+    /// worker; [`parallel_repair`](crate::repair::parallel::parallel_repair)
+    /// runs it with more.
     pub fn repair_relation(
         &self,
         ctx: &MatchContext<'_>,
         relation: &mut Relation,
         opts: &ApplyOptions,
     ) -> RelationReport {
-        let shared = ctx.value_cache_for(relation.schema());
-        self.repair_relation_with_cache(ctx, relation, opts, &shared)
-    }
-
-    /// [`Self::repair_relation`] against an explicit shared cache (the
-    /// building block the parallel repairer and benches drive directly).
-    pub fn repair_relation_with_cache(
-        &self,
-        ctx: &MatchContext<'_>,
-        relation: &mut Relation,
-        opts: &ApplyOptions,
-        shared: &ValueCache,
-    ) -> RelationReport {
-        let obs = ctx.obs();
-        let tracer = obs.and_then(|o| o.tracer());
-        // Live span surface, mirroring the parallel scheduler's topology:
-        // prewarm and repair phase spans under the request, one row span
-        // per tuple, rule spans beneath (opened inside `try_rule`).
-        let live = ctx.span().cloned();
-        if let Some(t) = tracer {
-            crate::obs::trace_relation_start(t, "fast", relation.len(), self.rules.len());
-            crate::obs::trace_phase(t, "prewarm", true);
-        }
-        let tuple_hist = obs.map(|o| {
-            (
-                o.metrics().histogram("repair_tuple_seconds", &[]),
-                o.metrics()
-                    .window_histogram("repair_tuple_seconds_window", &[]),
-            )
-        });
-        let before = shared.stats();
-        let prewarm_span = live.as_ref().map(|s| s.child("prewarm"));
-        let prewarm_start = Instant::now();
-        match &prewarm_span {
-            Some(sp) => ctx.fork().with_span(sp.ctx()).prewarm(self.rules),
-            None => ctx.prewarm(self.rules),
-        }
-        let prewarm = prewarm_start.elapsed();
-        if let Some(sp) = prewarm_span {
-            sp.finish();
-        }
-        if let Some(t) = tracer {
-            crate::obs::trace_phase(t, "prewarm", false);
-            crate::obs::trace_phase(t, "repair", true);
-        }
-        let repair_span = live.as_ref().map(|s| s.child("repair"));
-        let row_parent = repair_span.as_ref().map(|s| s.ctx());
-        // Speculative captures (tail sampling armed, not forced) keep the
-        // row path to two clock reads: spans are recorded retroactively
-        // and only for rows above `SPECULATIVE_ROW_FLOOR`. Forced captures
-        // open a full guard per row with attributes and rule children.
-        let detailed = live.as_ref().is_some_and(|s| s.detailed());
-        let repair_start = Instant::now();
-        let mut report = RelationReport::default();
-        for row in 0..relation.len() {
-            let meter = ctx.budget().meter();
-            let mut cache = ElementCache::with_shared(shared);
-            // A fresh recorder per row captures this tuple's KB reads as its
-            // footprint — the provenance selective re-repair intersects with
-            // later KB deltas.
-            let recorder = std::sync::Arc::new(FootprintRecorder::new());
-            let row_span = if detailed {
-                row_parent.as_ref().map(|s| {
-                    let mut sp = s.child("row");
-                    sp.attr_num("row", row as u64);
-                    sp
-                })
-            } else {
-                None
-            };
-            let spec_row_start = match (&row_parent, detailed) {
-                (Some(_), false) => Some(Instant::now()),
-                _ => None,
-            };
-            let row_ctx = ctx
-                .fork()
-                .with_recorder(std::sync::Arc::clone(&recorder))
-                .with_span_opt(row_span.as_ref().map(|s| s.ctx()));
-            let started = tuple_hist.as_ref().map(|_| Instant::now());
-            let tuple_report =
-                self.repair_tuple_with(&row_ctx, relation.tuple_mut(row), opts, &mut cache, &meter);
-            if let (Some((hist, window)), Some(started)) = (&tuple_hist, started) {
-                let elapsed = started.elapsed();
-                hist.record(elapsed);
-                window.record(elapsed);
-            }
-            if let Some(mut sp) = row_span {
-                let cache_stats = cache.level_stats();
-                sp.attr_static("outcome", crate::obs::outcome_label(&tuple_report.outcome));
-                sp.attr_num("steps", tuple_report.steps.len() as u64);
-                sp.attr_num(
-                    "cache_hits",
-                    (cache_stats.local_hits + cache_stats.shared_hits) as u64,
-                );
-                sp.attr_num(
-                    "cache_misses",
-                    (cache_stats.local_misses + cache_stats.shared_misses) as u64,
-                );
-                sp.finish();
-            } else if let (Some(parent), Some(started)) = (&row_parent, spec_row_start) {
-                let took = started.elapsed();
-                if took >= crate::obs::SPECULATIVE_ROW_FLOOR {
-                    parent.record_completed("row", started, took);
-                }
-            }
-            if let Some(o) = obs {
-                crate::obs::trace_tuple(o, row, &tuple_report, Some(cache.level_stats()));
-            }
-            report.tuples.push(tuple_report);
-            report.footprints.push(recorder.take());
-        }
-        if let Some(mut sp) = repair_span {
-            sp.attr_num("rows", relation.len() as u64);
-            sp.attr_num("value_cache_entries", shared.len() as u64);
-            sp.finish();
-        }
-        report.cache = shared.stats().delta_since(&before);
-        report.timing = PhaseTimings {
-            prewarm,
-            repair: repair_start.elapsed(),
+        let opts = ParallelOptions {
+            apply: opts.clone(),
+            threads: 1,
+            ..ParallelOptions::default()
         };
-        report.tally_resilience();
-        if let Some(obs) = obs {
-            crate::obs::record_relation(obs, "fast", &report);
-        }
-        if let Some(t) = tracer {
-            crate::obs::trace_phase(t, "repair", false);
-            crate::obs::trace_relation_end(t, relation.len());
-        }
-        report
+        drive(self, ctx, relation, &opts)
     }
 }
 

@@ -99,7 +99,7 @@ fn traces_are_deterministic_across_runs() {
 }
 
 /// Under one seed, the rows a rate-r sampler keeps are a subset of the
-/// rows rate 1.0 keeps — so on the deterministic sequential repairer the
+/// rows rate 1.0 keeps — so on the deterministic one-worker repairer the
 /// sampled trace's lines are exactly a sub-multiset of the full trace's.
 #[test]
 fn sampled_trace_is_subset_of_full_trace() {
@@ -150,12 +150,51 @@ fn sampled_rows(lines: &[String]) -> Vec<u64> {
     rows
 }
 
-/// The parallel scheduler interleaves spans and its shared-cache hit/miss
-/// split is scheduling-dependent, so the byte-level subset property only
-/// holds sequentially — but the *row* subset is still exact: the sampler
-/// keys on the row index alone, so the rows a rate-r parallel trace
-/// contains are precisely the sampled subset of all rows, regardless of
-/// thread interleaving.
+/// Reads the unsigned number after `"key":` in a flat trace line.
+fn num_field(line: &str, key: &str) -> u64 {
+    let tag = format!("\"{key}\":");
+    let rest = &line[line.find(&tag).unwrap() + tag.len()..];
+    let end = rest.find([',', '}']).unwrap();
+    rest[..end].parse().unwrap()
+}
+
+/// Splits a trace into its relation envelope (every line without a `row`
+/// field, in order) and its per-row blocks (`tuple_start` through
+/// `outcome`, sorted). Each `cache` event's shared hit/miss split is folded
+/// into its sum: which of two concurrent rows fills a shared value-cache
+/// entry first is scheduling-dependent, but the number of shared lookups a
+/// row makes is not.
+fn envelope_and_blocks(lines: &[String]) -> (Vec<String>, Vec<Vec<String>>) {
+    let mut envelope = Vec::new();
+    let mut blocks = Vec::new();
+    let mut block = Vec::new();
+    for line in lines {
+        if !line.contains("\"row\":") {
+            envelope.push(line.clone());
+            continue;
+        }
+        if line.contains("\"ev\":\"cache\"") {
+            let shared = num_field(line, "shared_hits") + num_field(line, "shared_misses");
+            let head = &line[..line.find(",\"shared_hits\"").unwrap()];
+            block.push(format!("{head},\"shared_lookups\":{shared}}}"));
+        } else {
+            block.push(line.clone());
+        }
+        if line.contains("\"ev\":\"outcome\"") {
+            blocks.push(std::mem::take(&mut block));
+        }
+    }
+    assert!(block.is_empty(), "unterminated per-row block: {block:?}");
+    blocks.sort();
+    (envelope, blocks)
+}
+
+/// One worker and four run the same driver, so their traces agree: the
+/// relation envelope line for line (same `algo`, same phases), and the
+/// per-row blocks as a set — the scheduler interleaves the blocks, and the
+/// shared-cache hit/miss split inside them is scheduling-dependent, but
+/// the sampler keys on the row index alone, so both runs keep exactly the
+/// same rows, each a subset of the rate-1.0 rows.
 #[test]
 fn parallel_sampling_selects_the_same_rows() {
     let kb = nobel_mini_kb();
@@ -181,16 +220,24 @@ fn parallel_sampling_selects_the_same_rows() {
         lines(&buf)
     };
     let full_rows = sampled_rows(&run(1.0, 4));
-    let sequential_rows = sampled_rows(&run(0.5, 1));
+    let sequential = run(0.5, 1);
     let parallel = run(0.5, 4);
+    assert_jsonl_shape(&sequential);
     assert_jsonl_shape(&parallel);
     let parallel_rows = sampled_rows(&parallel);
     assert_eq!(
-        parallel_rows, sequential_rows,
+        parallel_rows,
+        sampled_rows(&sequential),
         "sampling is thread-count invariant"
     );
     assert!(parallel_rows.iter().all(|r| full_rows.contains(r)));
     assert!(parallel_rows.len() < full_rows.len());
+
+    let (seq_envelope, seq_blocks) = envelope_and_blocks(&sequential);
+    let (par_envelope, par_blocks) = envelope_and_blocks(&parallel);
+    assert_eq!(seq_envelope, par_envelope, "relation envelope differs");
+    assert_eq!(seq_blocks.len(), parallel_rows.len());
+    assert_eq!(seq_blocks, par_blocks, "per-row blocks differ");
 }
 
 /// Rate 0 still emits the relation-level envelope (start, phases, end) —

@@ -4,7 +4,7 @@
 //! stream of dirty-relation POSTs at it twice — once against cold value
 //! caches, once warm — from `--clients` concurrent client threads, and
 //! reports throughput and latency quantiles per phase straight from the
-//! server's own `serve_repair_seconds{phase=...}` histograms (so the
+//! server's own `serve_repair_seconds{label=...}` histograms (so the
 //! numbers printed are the numbers `/metrics` exports).
 //!
 //! ```text
@@ -187,7 +187,7 @@ fn main() {
         snapshot
             .histograms
             .iter()
-            .find(|h| h.name == "serve_repair_seconds" && h.labels.contains(phase))
+            .find(|h| h.name == "serve_repair_seconds" && h.labels == format!("label=\"{phase}\""))
             .map(|h| (h.count, h.p50, h.p95, h.p99, h.sum_nanos))
             .unwrap_or((0, None, None, None, 0))
     };

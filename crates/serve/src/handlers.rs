@@ -519,7 +519,10 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
     state
         .obs
         .metrics()
-        .histogram("serve_repair_seconds", &[("phase", &params.label)])
+        .histogram(
+            "serve_repair_seconds",
+            &[("label", state.repair_label(&params.label))],
+        )
         .record(repair_started.elapsed());
 
     // Finish the root span and make the tail-sampling call. A retained
@@ -695,7 +698,7 @@ fn render_ndjson(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{build_state, KbSpec, ServeConfig};
+    use crate::state::{build_state, KbSpec, ServeConfig, MAX_REPAIR_LABELS};
     use dr_core::RegistryConfig;
     use dr_obs::Obs;
     use std::sync::Arc;
@@ -792,7 +795,33 @@ mod tests {
         assert!(snap
             .histograms
             .iter()
-            .any(|h| h.name == "serve_repair_seconds" && h.labels.contains("test")));
+            .any(|h| h.name == "serve_repair_seconds" && h.labels == "label=\"test\""));
+
+        // Label cardinality is capped: "test" plus MAX_REPAIR_LABELS more
+        // distinct labels overflow exactly once, into `label="other"`.
+        let labels: Vec<String> = (1..=MAX_REPAIR_LABELS).map(|i| format!("l{i}")).collect();
+        for label in labels.iter().map(String::as_str).chain(["test"]) {
+            let req = post_csv("/v1/repair/nobel-mini", &format!("label={label}"), body);
+            assert_eq!(handle(&state, &req).status, 200);
+        }
+        let snap = state.obs.metrics().snapshot();
+        let series = |label: &str| {
+            snap.histograms
+                .iter()
+                .find(|h| {
+                    h.name == "serve_repair_seconds" && h.labels == format!("label=\"{label}\"")
+                })
+                .map(|h| h.count)
+        };
+        assert_eq!(
+            series("test"),
+            Some(2),
+            "an admitted label keeps its series"
+        );
+        assert_eq!(series(&labels[MAX_REPAIR_LABELS - 2]), Some(1));
+        assert_eq!(series(&labels[MAX_REPAIR_LABELS - 1]), None);
+        assert_eq!(series("other"), Some(1));
+        assert_eq!(snap.counter_total("serve_label_overflow_total"), 1);
     }
 
     #[test]

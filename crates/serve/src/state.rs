@@ -376,6 +376,11 @@ impl Breaker {
     }
 }
 
+/// Distinct `?label=` values that get their own `serve_repair_seconds`
+/// series. Later values share `label="other"`, so clients cannot grow the
+/// metric registry without bound.
+pub const MAX_REPAIR_LABELS: usize = 16;
+
 /// Everything shared across connections, behind one `Arc`.
 pub struct ServerState {
     /// Served KBs, in `--kb` flag order.
@@ -394,6 +399,9 @@ pub struct ServerState {
     pub lifecycle: Lifecycle,
     /// Tail-sampled retained traces (`/v1/traces`, DESIGN.md §11).
     pub traces: TraceStore,
+    /// The `?label=` values admitted as `serve_repair_seconds` series, at
+    /// most [`MAX_REPAIR_LABELS`].
+    pub repair_labels: Mutex<Vec<String>>,
 }
 
 /// A live capture armed for one request: the shared trace plus the root
@@ -407,6 +415,27 @@ pub struct RequestTrace {
 }
 
 impl ServerState {
+    /// The `serve_repair_seconds` label value for a request's `?label=`:
+    /// the label itself if it is one of the first [`MAX_REPAIR_LABELS`]
+    /// distinct values seen, otherwise `"other"`, counted in
+    /// `serve_label_overflow_total`.
+    pub fn repair_label<'a>(&self, label: &'a str) -> &'a str {
+        let mut seen = self.repair_labels.lock();
+        if seen.iter().any(|l| l == label) {
+            return label;
+        }
+        if seen.len() < MAX_REPAIR_LABELS {
+            seen.push(label.to_owned());
+            return label;
+        }
+        drop(seen);
+        self.obs
+            .metrics()
+            .counter("serve_label_overflow_total", &[])
+            .inc();
+        "other"
+    }
+
     /// Looks up a served KB by route name.
     pub fn entry(&self, name: &str) -> Option<&KbEntry> {
         self.entries.iter().find(|e| e.name == name)
@@ -762,6 +791,7 @@ pub fn build_state(
         gate,
         lifecycle: Lifecycle::default(),
         traces,
+        repair_labels: Mutex::default(),
     })
 }
 

@@ -76,27 +76,24 @@ fn differential_check(kb: &KnowledgeBase, rules: &[dr_core::DetectiveRule], dirt
     );
 
     // Tier 2: the parallel repairer must reproduce the fast repairer's
-    // report verbatim, at several worker counts and claim granularities.
+    // report verbatim, at several worker counts.
     for threads in [2usize, 4] {
-        for batch_claim in [false, true] {
-            let mut parallel = dirty.clone();
-            let par_report = parallel_repair(
-                &ctx,
-                rules,
-                &mut parallel,
-                &ParallelOptions {
-                    threads,
-                    batch_claim,
-                    ..Default::default()
-                },
-            );
-            let label = format!("fast vs parallel({threads} threads, batch={batch_claim})");
-            assert_same_relation(&fast, &parallel, &label);
-            assert_eq!(
-                fast_report.tuples, par_report.tuples,
-                "{label}: reports diverged"
-            );
-        }
+        let mut parallel = dirty.clone();
+        let par_report = parallel_repair(
+            &ctx,
+            rules,
+            &mut parallel,
+            &ParallelOptions {
+                threads,
+                ..Default::default()
+            },
+        );
+        let label = format!("fast vs parallel({threads} threads)");
+        assert_same_relation(&fast, &parallel, &label);
+        assert_eq!(
+            fast_report.tuples, par_report.tuples,
+            "{label}: reports diverged"
+        );
     }
 }
 
