@@ -33,7 +33,7 @@ pub enum Fault {
     /// after a retry.
     Panic,
     /// Panic on the row's *first* trigger only; subsequent triggers (the
-    /// scheduler's retry on a fresh worker) are no-ops. Models a transient
+    /// scheduler's retry pass) are no-ops. Models a transient
     /// fault — a row that heals on retry and must come out bit-identical
     /// to a fault-free run.
     PanicOnce,

@@ -21,10 +21,14 @@
 //!
 //! A panic in one row's repair is caught at the row boundary and reported
 //! as [`TupleOutcome::Failed`]. Failed rows are re-run under a configurable
-//! [`RetryPolicy`] (DESIGN.md §4c/§9), on fresh worker threads spawned
-//! after each pass drains: transient faults heal to the fault-free result,
-//! deterministic ones report [`TupleOutcome::Failed`] once the attempt cap
-//! is reached, and every retry attempt lands in
+//! [`RetryPolicy`] (DESIGN.md §4c/§9), in a further pass started after
+//! each pass drains. The calling thread is each pass's first worker and
+//! only the others are scoped threads, so a one-worker pass — every pass
+//! at `threads = 1`, retries included, and any pass over a single row —
+//! runs on the calling thread and starts no thread. Transient faults heal
+//! to the fault-free result, deterministic ones report
+//! [`TupleOutcome::Failed`] once the attempt cap is reached, and every
+//! retry attempt lands in
 //! [`ResilienceReport::retried`](crate::repair::resilience::ResilienceReport)
 //! and the `retry_attempts_total{attempt}` counter. The default policy is
 //! the historical behavior — one retry, no backoff.
@@ -150,12 +154,13 @@ pub(crate) fn drive(
     let attempts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
 
     // Retry policy (DESIGN.md §4c/§9): rows still `Failed` after a pass
-    // are re-claimed by fresh worker threads, up to `opts.retry`'s total
+    // are re-claimed by a further pass, up to `opts.retry`'s total
     // attempt cap, with the policy's deterministic exponential backoff
     // (zero on the first attempt) slept by the claiming worker just before
-    // the run. A transient fault (a poisoned thread-local, an injected
-    // `PanicOnce`) heals to the same report a fault-free run produces —
-    // tuples are independent, so running a row late changes nothing —
+    // the run. A transient fault (an injected `PanicOnce`, keyed by row)
+    // heals to the same report a fault-free run produces — tuples are
+    // independent and repair holds no thread-local state, so running a row
+    // late, or on the thread that failed it, changes nothing —
     // while a deterministic panic fails on every attempt and keeps its
     // `Failed` outcome once the cap is reached. The fault plan is
     // triggered on every attempt too, so injected faults decide for
@@ -184,35 +189,46 @@ pub(crate) fn drive(
                 }
             }
         }
+        let width = threads.min(pending.len());
+        if width == 0 {
+            break; // an empty relation: no row to claim in any pass
+        }
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            // `pending.len() <= rows.len()`, so worker indexes stay within
-            // the per-worker tally arrays sized above.
-            for w in 0..threads.min(pending.len()) {
-                let (claimed, attempts) = (&claimed, &attempts);
-                let (rows, slots, pending, next) = (&rows, &slots, &pending, &next);
-                let (shared, tuple_hist, row_span) = (&shared, &tuple_hist, &row_span);
-                scope.spawn(move || loop {
-                    attempts[w].fetch_add(1, Ordering::Relaxed);
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&row) = pending.get(i) else { break };
-                    claimed[w].fetch_add(1, Ordering::Relaxed);
-                    let backoff = opts.retry.backoff(row, attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    *slots[row].lock() = Some(repair_row(
-                        repairer,
-                        ctx,
-                        opts,
-                        shared,
-                        rows,
-                        row,
-                        row_span.as_ref(),
-                        tuple_hist.as_ref(),
-                    ));
-                });
+        // One worker's pass: claim pending rows until the counter runs
+        // past the end. `w < width <= workers`, so worker indexes stay
+        // within the per-worker tally arrays above.
+        let work = |w: usize| loop {
+            attempts[w].fetch_add(1, Ordering::Relaxed);
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&row) = pending.get(i) else { break };
+            claimed[w].fetch_add(1, Ordering::Relaxed);
+            let backoff = opts.retry.backoff(row, attempt);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
             }
+            *slots[row].lock() = Some(repair_row(
+                repairer,
+                ctx,
+                opts,
+                &shared,
+                &rows,
+                row,
+                row_span.as_ref(),
+                tuple_hist.as_ref(),
+            ));
+        };
+        // The calling thread is worker 0 and only the other workers are
+        // scoped threads, so a one-worker pass starts no thread. Work on
+        // the caller allocates from the caller's malloc arena, which a
+        // long-lived caller (a server's connection thread, a batch driver
+        // that ran a sequential pass first) has already grown; a fresh
+        // thread would grow another one.
+        std::thread::scope(|scope| {
+            for w in 1..width {
+                let work = &work;
+                scope.spawn(move || work(w));
+            }
+            work(0);
         });
     }
 

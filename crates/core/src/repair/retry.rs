@@ -12,8 +12,8 @@
 //! the trace sampler).
 //!
 //! The scheduler ([`parallel_repair`](crate::repair::parallel)) drives the
-//! policy: after each pass drains, rows still `Failed` are re-claimed by
-//! fresh workers until they heal or the attempt cap is reached. Every
+//! policy: after each pass drains, rows still `Failed` are re-claimed by a
+//! further pass until they heal or the attempt cap is reached. Every
 //! retry attempt is counted in
 //! [`ResilienceReport::retried`](crate::repair::resilience::ResilienceReport)
 //! and in the `retry_attempts_total{attempt}` metric, which therefore

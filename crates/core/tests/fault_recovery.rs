@@ -155,10 +155,11 @@ fn seeded_ten_percent_panics_at_eight_threads() {
     }
 }
 
-/// One-shot panics heal: the retry pass re-runs each panicked row once on
-/// a fresh worker, so a seeded transient fault ends bit-identical to a
-/// fault-free run at every thread count, with the retry count surfaced in
-/// the `ResilienceReport` and the run still reading as clean.
+/// One-shot panics heal: the retry pass re-runs each panicked row once (on
+/// the calling thread at `threads = 1`), so a seeded transient fault ends
+/// bit-identical to a fault-free run at every thread count, with the retry
+/// count surfaced in the `ResilienceReport` and the run still reading as
+/// clean.
 #[test]
 fn one_shot_panics_heal_on_retry() {
     silence_injected_panics();

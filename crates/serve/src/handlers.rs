@@ -35,12 +35,12 @@ pub struct Response {
 pub enum Body {
     /// One buffer, sent with `content-length`.
     Full(Vec<u8>),
-    /// NDJSON lines, streamed with chunked encoding (one chunk per line).
+    /// NDJSON lines, sent with chunked encoding (one chunk per line).
     Lines(Vec<String>),
 }
 
 impl Response {
-    fn json(status: u16, body: String) -> Self {
+    pub(crate) fn json(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "application/json",
@@ -550,7 +550,7 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
     }
 }
 
-/// Renders the streamed response: a header line, one line per quarantined
+/// Renders the NDJSON response: a header line, one line per quarantined
 /// input record, one line per repaired tuple (cells + provenance), and a
 /// summary line.
 fn render_ndjson(

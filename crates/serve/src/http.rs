@@ -1,5 +1,5 @@
 //! A minimal HTTP/1.1 layer over `std::net` — request parsing, response
-//! writing, chunked streaming, keep-alive.
+//! writing (fixed-length or chunked), keep-alive.
 //!
 //! The build environment is fully offline, so there is no tokio/hyper to
 //! lean on; the server is thread-per-connection over blocking sockets,
@@ -264,79 +264,77 @@ fn status_text(status: u16) -> &'static str {
 }
 
 fn write_head(
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     status: u16,
     content_type: &str,
     keep_alive: bool,
     extra_headers: &[(&'static str, String)],
 ) -> std::io::Result<()> {
     write!(
-        stream,
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n",
         status,
         status_text(status),
         content_type,
     )?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(out, "{name}: {value}\r\n")?;
     }
     write!(
-        stream,
+        out,
         "connection: {}\r\n",
         if keep_alive { "keep-alive" } else { "close" }
     )
 }
 
-/// Writes a complete, fixed-length response.
+/// Writes a complete, fixed-length response to `out`. Flushing is the
+/// caller's: the connection loop writes through one buffered writer and
+/// flushes it once per response.
 pub fn write_response(
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
     extra_headers: &[(&'static str, String)],
 ) -> std::io::Result<()> {
-    write_head(stream, status, content_type, keep_alive, extra_headers)?;
-    write!(stream, "content-length: {}\r\n\r\n", body.len())?;
-    stream.write_all(body)?;
-    stream.flush()
+    write_head(out, status, content_type, keep_alive, extra_headers)?;
+    write!(out, "content-length: {}\r\n\r\n", body.len())?;
+    out.write_all(body)
 }
 
-/// A chunked-transfer response in progress: the header block is already on
-/// the wire, so each [`chunk`](Self::chunk) streams straight to the client
-/// — repaired tuples go out as they are serialized, not buffered whole.
-pub struct ChunkedResponse<'a> {
-    stream: &'a mut TcpStream,
+/// A chunked-transfer response in progress over `out`: the header block is
+/// written, and each [`line`](Self::line) adds one chunk. The body is
+/// rendered in full before the first byte is written, so the chunking
+/// carries no streaming; it stays for wire compatibility with existing
+/// clients. What reaches the socket, and when, is up to `out` — the
+/// connection loop hands in a buffered writer that sends full buffers.
+pub struct ChunkedResponse<W: Write> {
+    out: W,
 }
 
-impl<'a> ChunkedResponse<'a> {
-    /// Sends the status line + headers and switches to chunked encoding.
+impl<W: Write> ChunkedResponse<W> {
+    /// Writes the status line + headers and switches to chunked encoding.
     pub fn begin(
-        stream: &'a mut TcpStream,
+        mut out: W,
         status: u16,
         content_type: &str,
         keep_alive: bool,
         extra_headers: &[(&'static str, String)],
     ) -> std::io::Result<Self> {
-        write_head(stream, status, content_type, keep_alive, extra_headers)?;
-        write!(stream, "transfer-encoding: chunked\r\n\r\n")?;
-        Ok(Self { stream })
+        write_head(&mut out, status, content_type, keep_alive, extra_headers)?;
+        write!(out, "transfer-encoding: chunked\r\n\r\n")?;
+        Ok(Self { out })
     }
 
-    /// Streams one chunk (empty input is skipped — an empty chunk would
-    /// terminate the encoding).
-    pub fn chunk(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        write!(self.stream, "{:x}\r\n", bytes.len())?;
-        self.stream.write_all(bytes)?;
-        self.stream.write_all(b"\r\n")
+    /// Writes `line` plus a trailing newline as one chunk (never empty, so
+    /// it never terminates the encoding early).
+    pub fn line(&mut self, line: &str) -> std::io::Result<()> {
+        write!(self.out, "{:x}\r\n{line}\n\r\n", line.len() + 1)
     }
 
-    /// Terminates the chunked body and flushes.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+    /// Writes the terminating zero-length chunk.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.out.write_all(b"0\r\n\r\n")
     }
 }

@@ -4,8 +4,8 @@
 //! knowledge bases are loaded once at startup — match indexes prewarmed,
 //! value caches created through the shared [`CacheRegistry`] so `.drsnap`
 //! snapshots warm-load at boot — and every request then repairs an
-//! uploaded relation against them, streaming repaired tuples with per-cell
-//! provenance back as NDJSON.
+//! uploaded relation against them, returning repaired tuples with per-cell
+//! provenance as NDJSON.
 //!
 //! The build environment is fully offline (no tokio/hyper), so the wire
 //! layer is a hand-rolled HTTP/1.1 subset over `std::net` with a
@@ -59,7 +59,7 @@ pub mod handlers;
 pub mod http;
 pub mod state;
 
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -196,10 +196,13 @@ impl Server {
 /// Serves one connection: a keep-alive loop of parse → handle → serialize,
 /// until the client closes, asks to close, idles out, hits the
 /// per-connection request cap, or the server starts draining.
-fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpStream) {
+fn serve_connection(state: &ServerState, shutdown: &AtomicBool, stream: TcpStream) {
     let metrics = state.obs.metrics();
     metrics.counter("serve_connections_total", &[]).inc();
     stream.set_write_timeout(Some(http::IO_TIMEOUT)).ok();
+    // Responses leave in buffer-sized writes; with Nagle on, a write that
+    // follows a partial segment waits for the client's delayed ACK.
+    stream.set_nodelay(true).ok();
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -221,14 +224,8 @@ fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpS
             Ok(Some(request)) => request,
             Ok(None) => return, // probe, clean close, or idle timeout
             Err(e) => {
-                let _ = http::write_response(
-                    &mut stream,
-                    e.status,
-                    "application/json",
-                    format!("{{\"error\":{:?}}}", e.message).as_bytes(),
-                    false,
-                    &[],
-                );
+                let message = format!("{{\"error\":{:?}}}", e.message);
+                let _ = send_response(&stream, &Response::json(e.status, message), false);
                 return;
             }
         };
@@ -244,33 +241,7 @@ fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpS
             && (cap == 0 || served < cap)
             && !state.lifecycle.is_draining()
             && !shutdown.load(Ordering::Acquire);
-        let result = match &response.body {
-            Body::Full(bytes) => http::write_response(
-                &mut stream,
-                response.status,
-                response.content_type,
-                bytes,
-                keep_alive,
-                &response.headers,
-            ),
-            Body::Lines(lines) => (|| {
-                let mut chunked = http::ChunkedResponse::begin(
-                    &mut stream,
-                    response.status,
-                    response.content_type,
-                    keep_alive,
-                    &response.headers,
-                )?;
-                for line in lines {
-                    let mut framed = Vec::with_capacity(line.len() + 1);
-                    framed.extend_from_slice(line.as_bytes());
-                    framed.push(b'\n');
-                    chunked.chunk(&framed)?;
-                }
-                chunked.finish()
-            })(),
-        };
-        if let Err(_e) = result {
+        if let Err(_e) = send_response(&stream, &response, keep_alive) {
             // A client hanging up mid-stream is its business; count it,
             // close, and this worker moves on to the next connection.
             metrics.counter("serve_client_disconnect_total", &[]).inc();
@@ -279,5 +250,137 @@ fn serve_connection(state: &ServerState, shutdown: &AtomicBool, mut stream: TcpS
         if !keep_alive {
             return;
         }
+    }
+}
+
+/// Writes one response to `sink` through a buffered writer at its default
+/// capacity, flushed once at the end: the socket sees one write per full
+/// buffer rather than several per NDJSON line. The writer does not hold
+/// the whole response — a client that hangs up mid-body still fails the
+/// next buffer-sized write.
+fn send_response(sink: impl Write, response: &Response, keep_alive: bool) -> std::io::Result<()> {
+    let mut out = BufWriter::new(sink);
+    match &response.body {
+        Body::Full(bytes) => http::write_response(
+            &mut out,
+            response.status,
+            response.content_type,
+            bytes,
+            keep_alive,
+            &response.headers,
+        )?,
+        Body::Lines(lines) => {
+            let mut chunked = http::ChunkedResponse::begin(
+                &mut out,
+                response.status,
+                response.content_type,
+                keep_alive,
+                &response.headers,
+            )?;
+            for line in lines {
+                chunked.line(line)?;
+            }
+            chunked.finish()?;
+        }
+    }
+    out.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records what reaches the socket: every byte, and how many `write`
+    /// calls carried them.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn send(response: &Response, keep_alive: bool) -> CountingWriter {
+        let mut sink = CountingWriter::default();
+        send_response(&mut sink, response, keep_alive).expect("in-memory write");
+        sink
+    }
+
+    fn lines(lines: Vec<String>) -> Response {
+        Response {
+            status: 200,
+            content_type: "application/x-ndjson",
+            headers: vec![("x-request-id", "7".to_owned())],
+            body: Body::Lines(lines),
+        }
+    }
+
+    #[test]
+    fn chunked_lines_keep_their_wire_format() {
+        let response = lines(vec!["{\"a\":1}".into(), "{\"kind\":\"summary\"}".into()]);
+        let sent = send(&response, true);
+        assert_eq!(
+            String::from_utf8(sent.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\n\
+             content-type: application/x-ndjson\r\n\
+             x-request-id: 7\r\n\
+             connection: keep-alive\r\n\
+             transfer-encoding: chunked\r\n\r\n\
+             8\r\n{\"a\":1}\n\r\n\
+             13\r\n{\"kind\":\"summary\"}\n\r\n\
+             0\r\n\r\n"
+        );
+        assert_eq!(sent.writes, 1);
+    }
+
+    #[test]
+    fn full_bodies_keep_their_wire_format() {
+        let response = Response::json(404, "{\"error\":\"no\"}".into());
+        let sent = send(&response, false);
+        assert_eq!(
+            String::from_utf8(sent.bytes).unwrap(),
+            "HTTP/1.1 404 Not Found\r\n\
+             content-type: application/json\r\n\
+             connection: close\r\n\
+             content-length: 14\r\n\r\n\
+             {\"error\":\"no\"}"
+        );
+        assert_eq!(sent.writes, 1);
+    }
+
+    /// A 60-line reply reaches the socket in buffer-sized writes, not a
+    /// few writes per line (which, with the client's delayed ACK, stall a
+    /// keep-alive connection for ~40 ms), and its framing is unchanged.
+    #[test]
+    fn sixty_lines_leave_in_buffer_sized_writes() {
+        let body: Vec<String> = (0..60)
+            .map(|i| format!("{{\"row\":{i},\"pad\":\"{}\"}}", "x".repeat(300)))
+            .collect();
+        let sent = send(&lines(body.clone()), true);
+        let mut framed = String::new();
+        for line in &body {
+            framed.push_str(&format!("{:x}\r\n{line}\n\r\n", line.len() + 1));
+        }
+        framed.push_str("0\r\n\r\n");
+        let text = String::from_utf8(sent.bytes).unwrap();
+        let (_head, chunks) = text.split_once("\r\n\r\n").expect("head ends");
+        assert_eq!(chunks, framed);
+        let max_writes = text.len().div_ceil(8 << 10) + 1;
+        assert!(
+            sent.writes <= max_writes,
+            "{} writes for {} bytes (at most {max_writes})",
+            sent.writes,
+            text.len()
+        );
     }
 }
