@@ -105,8 +105,8 @@ pub struct RelationReport {
     /// counters; all-zero for repairers that do not share one (e.g. the
     /// basic chase).
     pub cache: crate::repair::value_cache::CacheStats,
-    /// Per-phase wall-clock timings; zero for the basic chase unless an
-    /// observability handle is attached (the metrics need real numbers).
+    /// Per-phase wall-clock timings. The basic chase has no prewarm phase,
+    /// so only its `repair` phase is nonzero.
     pub timing: PhaseTimings,
     /// Degraded/failed/quarantined counters plus the budget-exhaustion
     /// histogram; all-zero on a healthy run (DESIGN.md §4c).
@@ -225,8 +225,8 @@ pub fn basic_repair(
         report.tuples.push(tuple_report);
     }
     report.tally_resilience();
+    report.timing.repair = repair_start.elapsed();
     if let Some(obs) = obs {
-        report.timing.repair = repair_start.elapsed();
         crate::obs::record_relation(obs, "basic", &report);
     }
     if let Some(t) = tracer {
@@ -351,6 +351,20 @@ mod tests {
         let report = basic_repair(&ctx, &[], &mut dirty, &ApplyOptions::default());
         assert_eq!(report.total_applications(), 0);
         assert_eq!(dirty.positive_count(), 0);
+    }
+
+    /// The repair phase is timed with no observability handle attached;
+    /// the chase builds no indexes, so its prewarm phase stays zero.
+    #[test]
+    fn repair_phase_is_timed_without_obs() {
+        let kb = nobel_mini_kb();
+        let rules = figure4_rules(&kb);
+        let ctx = MatchContext::new(&kb);
+        assert!(ctx.obs().is_none());
+        let mut dirty = table1_dirty();
+        let report = basic_repair(&ctx, &rules, &mut dirty, &ApplyOptions::default());
+        assert!(report.timing.repair > std::time::Duration::ZERO);
+        assert_eq!(report.timing.prewarm, std::time::Duration::ZERO);
     }
 
     /// The trace records the rewrites actually performed.

@@ -52,7 +52,8 @@
 //!   working set survives its in-memory death;
 //! * [`CacheRegistry::persist`] flushes every live cache, bounded by
 //!   [`RegistryConfig::max_persist_entries`] hottest entries each (the
-//!   clock/second-chance bits decide what is hot).
+//!   clock/second-chance bits decide what is hot), and skips a cache that
+//!   has not changed since it last wrote the same key's file.
 
 use crate::repair::snapshot::{self, SnapshotKey, SnapshotPayload};
 use crate::repair::value_cache::{ValueCache, ValueCacheConfig};
@@ -60,6 +61,7 @@ use dr_kb::{FxHashMap, KbFootprint, KbRef};
 use dr_obs::{Counter, MetricRegistry};
 use dr_relation::Schema;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -71,6 +73,12 @@ pub type CacheKey = (u64, u64);
 /// Most diagnostics retained by the snapshot ledger; later ones are counted
 /// but dropped (same discipline as [`dr_kb::LenientOptions`]).
 const MAX_SNAPSHOT_DIAGNOSTICS: usize = 64;
+
+/// Most recently retired KB generations remembered (see
+/// [`CacheRegistry::apply_delta`]). A lookup for an older retired
+/// generation registers a cache as any unknown generation does; LRU
+/// pressure reclaims it.
+const MAX_RETIRED_GENERATIONS: usize = 64;
 
 /// Sizing knobs for a [`CacheRegistry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,6 +278,10 @@ struct Slot {
 pub struct CacheRegistry {
     config: RegistryConfig,
     slots: Mutex<FxHashMap<CacheKey, Slot>>,
+    /// Generations [`Self::apply_delta`] migrated away from, oldest first.
+    /// Only locked while `slots` is held, so a lookup and a migration
+    /// never interleave.
+    retired: Mutex<VecDeque<u64>>,
     clock: AtomicU64,
     // `dr_obs::Counter` cells, so an attached observability registry can
     // expose the same storage [`Self::stats`] reads (see
@@ -299,6 +311,7 @@ impl CacheRegistry {
         Self {
             config,
             slots: Mutex::new(FxHashMap::default()),
+            retired: Mutex::new(VecDeque::new()),
             clock: AtomicU64::new(0),
             warm_hits: Counter::new(),
             cold_misses: Counter::new(),
@@ -368,8 +381,10 @@ impl CacheRegistry {
         cache
     }
 
-    /// Returns the cache for `key` and whether this call created it.
-    /// Evicted LRU victims are written back to disk (outside the pool lock).
+    /// Returns the cache for `key` and whether this call created a
+    /// registered cache. Evicted LRU victims are written back to disk
+    /// (outside the pool lock). A retired generation gets a private cold
+    /// cache that is neither registered nor seeded.
     fn lookup_or_create(
         &self,
         key: CacheKey,
@@ -384,6 +399,12 @@ impl CacheRegistry {
             return (Arc::clone(&slot.cache), false);
         }
         self.cold_misses.inc();
+        if self.retired.lock().contains(&key.0) {
+            return (
+                Arc::new(ValueCache::with_config(self.config.cache_config())),
+                false,
+            );
+        }
         while slots.len() >= self.config.max_caches {
             let lru = slots
                 .iter()
@@ -426,6 +447,12 @@ impl CacheRegistry {
     /// Everything the delta did not touch survives warm — this is the whole
     /// point of footprint-based invalidation; compare
     /// [`Self::evict_stale`], which drops stale caches wholesale.
+    ///
+    /// `old_generation` is retired: a later [`Self::cache_for`] against it
+    /// — a request still repairing against the replaced KB — gets a
+    /// private cold cache that dies with the request, rather than a
+    /// registered cache (warm-loaded from the old KB's snapshot) that
+    /// would hold a full copy of the entries until LRU pressure drops it.
     pub fn apply_delta(
         &self,
         old_generation: u64,
@@ -450,6 +477,12 @@ impl CacheRegistry {
             }
             slots.insert((new_generation, key.1), slot);
         }
+        let mut retired = self.retired.lock();
+        if retired.len() == MAX_RETIRED_GENERATIONS {
+            retired.pop_front();
+        }
+        retired.push_back(old_generation);
+        drop(retired);
         drop(slots);
         if invalidated > 0 {
             self.invalidated_entries.add(invalidated);
@@ -513,8 +546,10 @@ impl CacheRegistry {
     /// Writes every live cache that has a disk identity to the cache
     /// directory, bounded by [`RegistryConfig::max_persist_entries`] hottest
     /// entries each, then garbage-collects the snapshot directory (see
-    /// [`SnapshotGcConfig`]). Returns the number of snapshots written. A
-    /// no-op (returning 0) without a `cache_dir`.
+    /// [`SnapshotGcConfig`]). A cache unchanged since it last wrote its
+    /// key's file, which is still there, is not rewritten. Returns the
+    /// number of snapshots written. A no-op (returning 0) without a
+    /// `cache_dir`.
     pub fn persist(&self) -> usize {
         let targets: Vec<(SnapshotKey, Arc<ValueCache>)> = {
             let slots = self.slots.lock();
@@ -601,26 +636,41 @@ impl CacheRegistry {
     }
 
     /// Saves `(key, cache)` pairs to disk; shared by [`Self::persist`] and
-    /// the eviction paths. Empty caches are skipped.
+    /// the eviction paths. Empty caches are skipped, and so are clean ones:
+    /// a cache whose last save was under the same key, which has not
+    /// changed since ([`ValueCache`] counts inserts, evictions and
+    /// invalidations), and whose file is still on disk. Re-keying by
+    /// [`Self::apply_delta`] changes the key, so it always writes.
     fn write_back(&self, targets: Vec<(SnapshotKey, Arc<ValueCache>)>) -> usize {
         let Some(dir) = self.config.cache_dir.as_deref() else {
             return 0;
         };
         let mut saved = 0;
         for (key, cache) in targets {
-            let payload = cache.export_hottest(self.config.max_persist_entries);
-            if payload.is_empty() {
+            let mut last = cache.last_save();
+            // Read before encoding: a change racing the encode bumps the
+            // count past the recorded one, so the next persist rewrites.
+            let changes = cache.change_count();
+            if *last == Some((key, changes)) && key.path_in(dir).exists() {
                 continue;
             }
-            match snapshot::write_snapshot(dir, key, &payload) {
+            let (bytes, entries) = cache.encode_counted(key, self.config.max_persist_entries);
+            if entries == 0 {
+                continue;
+            }
+            match snapshot::write_snapshot_bytes(dir, key, &bytes) {
                 Ok(_) => {
+                    *last = Some((key, changes));
                     self.snapshot_saves.inc();
                     saved += 1;
                 }
-                Err(e) => self.record_diagnostic(format!(
-                    "snapshot save kb={:#x} schema={:#x}: {e}",
-                    key.kb_content_hash, key.schema_fingerprint
-                )),
+                Err(e) => {
+                    *last = None;
+                    self.record_diagnostic(format!(
+                        "snapshot save kb={:#x} schema={:#x}: {e}",
+                        key.kb_content_hash, key.schema_fingerprint
+                    ));
+                }
             }
         }
         saved
@@ -874,6 +924,32 @@ mod tests {
         assert_eq!(registry.stats().cold_misses, 2);
     }
 
+    /// A lookup against a generation a delta retired (a request still
+    /// holding the replaced KB) gets a private cold cache: not registered,
+    /// not seeded from the old KB's snapshot, never persisted.
+    #[test]
+    fn retired_generation_gets_a_private_cold_cache() {
+        let dir = scratch_dir("retired");
+        let kb = nobel_mini_kb();
+        let schema = nobel_schema();
+        let registry = one_entry_registry(&dir, &kb);
+        let new_gen = kb.generation() + 1_000_000; // simulated bump
+        registry.apply_delta(kb.generation(), new_gen, 0xFEED, &KbFootprint::new());
+        assert_eq!(registry.persist(), 1, "the migrated cache, re-keyed");
+
+        let stale = registry.cache_for(&kb, &schema);
+        assert!(stale.is_empty(), "no warm load from the old KB's snapshot");
+        let _ = stale.candidates(&MatchContext::new(&kb), &city_node(&kb), "Karcag");
+        let again = registry.cache_for(&kb, &schema);
+        assert!(!Arc::ptr_eq(&stale, &again), "nothing registered");
+        let stats = registry.stats();
+        assert_eq!(stats.live_caches, 1);
+        assert_eq!(stats.cold_misses, 3);
+        assert_eq!(stats.snapshot.warm_loads, 0);
+        assert_eq!(registry.persist(), 0, "private caches are never written");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn evict_generation_drops_only_that_generation() {
         let schema = nobel_schema();
@@ -1044,6 +1120,118 @@ mod tests {
         assert_eq!(s.snapshot, SnapshotStats::default());
     }
 
+    // ----- clean-skip ------------------------------------------------------
+
+    /// A registry over `dir` with one warm nobel-mini cache (one entry).
+    fn one_entry_registry(dir: &std::path::Path, kb: &KnowledgeBase) -> CacheRegistry {
+        let registry = persisting_registry(dir);
+        let cache = registry.cache_for(kb, &nobel_schema());
+        let _ = cache.candidates(&MatchContext::new(kb), &city_node(kb), "Haifa");
+        assert_eq!(registry.persist(), 1, "the first persist writes");
+        registry
+    }
+
+    #[test]
+    fn untouched_cache_is_not_rewritten() {
+        let dir = scratch_dir("clean");
+        let kb = nobel_mini_kb();
+        let registry = one_entry_registry(&dir, &kb);
+        assert_eq!(registry.persist(), 0);
+        // Hits set clock bits but change no entry.
+        let cache = registry.cache_for(&kb, &nobel_schema());
+        let _ = cache.candidates(&MatchContext::new(&kb), &city_node(&kb), "Haifa");
+        assert_eq!(registry.persist(), 0);
+        assert_eq!(registry.stats().snapshot.saves, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_miss_fill_makes_the_next_persist_write() {
+        let dir = scratch_dir("dirty-miss");
+        let kb = nobel_mini_kb();
+        let registry = one_entry_registry(&dir, &kb);
+        let cache = registry.cache_for(&kb, &nobel_schema());
+        let _ = cache.candidates(&MatchContext::new(&kb), &city_node(&kb), "Karcag");
+        assert_eq!(registry.persist(), 1);
+        assert_eq!(registry.persist(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_import_makes_the_next_persist_write() {
+        let dir = scratch_dir("dirty-import");
+        let kb = nobel_mini_kb();
+        let registry = one_entry_registry(&dir, &kb);
+        let donor = ValueCache::new();
+        let _ = donor.candidates(&MatchContext::new(&kb), &city_node(&kb), "Ithaca");
+        let cache = registry.cache_for(&kb, &nobel_schema());
+        assert_eq!(cache.import(&donor.export_hottest(0)), 1);
+        assert_eq!(registry.persist(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sweep under an unchanged disk key still writes: the file on disk
+    /// holds the swept entry.
+    #[test]
+    fn a_delta_sweep_makes_the_next_persist_write() {
+        let dir = scratch_dir("dirty-sweep");
+        let kb = nobel_mini_kb();
+        let registry = one_entry_registry(&dir, &kb);
+        let country = SchemaNode::new(
+            nobel_schema().attr_expect("Country"),
+            NodeType::Class(kb.class_named(names::COUNTRY).unwrap()),
+            SimFn::Equal,
+        );
+        let cache = registry.cache_for(&kb, &nobel_schema());
+        let _ = cache.candidates(&MatchContext::new(&kb), &country, "Israel");
+        assert_eq!(registry.persist(), 1);
+        let mut fp = KbFootprint::new();
+        fp.classes.insert(kb.class_named(names::CITY).unwrap());
+        let same_hash = kb.content_hash();
+        let swept = registry.apply_delta(kb.generation(), kb.generation() + 1, same_hash, &fp);
+        assert_eq!(swept, 1, "only the Haifa entry intersects");
+        assert_eq!(registry.persist(), 1);
+        let on_disk = snapshot::read_snapshot(&dir, SnapshotKey::for_pair(&kb, &nobel_schema()))
+            .expect("snapshot reads back");
+        assert_eq!(on_disk.nodes.len(), 1, "the swept entry is gone from disk");
+        assert_eq!(on_disk.nodes[0].1, "Israel");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_delta_rekey_makes_the_next_persist_write() {
+        let dir = scratch_dir("dirty-rekey");
+        let kb = nobel_mini_kb();
+        let registry = one_entry_registry(&dir, &kb);
+        let swept = registry.apply_delta(
+            kb.generation(),
+            kb.generation() + 1,
+            0xFEED,
+            &KbFootprint::new(),
+        );
+        assert_eq!(swept, 0, "an empty footprint sweeps nothing");
+        assert_eq!(registry.persist(), 1);
+        let rekeyed = SnapshotKey {
+            kb_content_hash: 0xFEED,
+            schema_fingerprint: nobel_schema().fingerprint(),
+        };
+        assert!(rekeyed.path_in(&dir).exists());
+        assert_eq!(registry.persist(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deleted_file_makes_the_next_persist_write() {
+        let dir = scratch_dir("dirty-deleted");
+        let kb = nobel_mini_kb();
+        let registry = one_entry_registry(&dir, &kb);
+        let path = SnapshotKey::for_pair(&kb, &nobel_schema()).path_in(&dir);
+        std::fs::remove_file(&path).expect("snapshot exists");
+        assert_eq!(registry.persist(), 1);
+        assert!(path.exists(), "the file is written again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     // ----- snapshot-directory GC ------------------------------------------
 
     /// Backdates a file's mtime so GC age thresholds see it as old.
@@ -1116,7 +1304,9 @@ mod tests {
         // reaper would pick it first.
         backdate(&live_path, Duration::from_secs(7200));
 
-        assert_eq!(writer_a.persist(), 1);
+        // Nothing changed since the last persist, so nothing is rewritten;
+        // GC still runs.
+        assert_eq!(writer_a.persist(), 0);
         assert!(live_path.exists(), "live snapshot must never be reaped");
         let remaining: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()

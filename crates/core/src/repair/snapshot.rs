@@ -280,41 +280,105 @@ fn put_node(buf: &mut Vec<u8>, n: Node) {
     }
 }
 
-/// Serializes `payload` under `key` into the version-1 byte format,
+/// Byte offset of the node-count field in the header (after magic,
+/// version, and the two key halves).
+const COUNTS_AT: usize = 24;
+
+/// Streaming writer of the snapshot byte format: the header goes out with
+/// zero counts, entries are appended as they are visited, and
+/// [`Encoder::finish`] patches the real counts into the header before
+/// appending the checksum. Both [`encode`] and
+/// [`ValueCache::encode_hottest`](crate::repair::value_cache::ValueCache::encode_hottest)
+/// write through it, so a payload and a live cache holding the same
+/// entries encode to the same bytes. Node entries must all precede edge
+/// entries, as the format lays them out.
+pub(crate) struct Encoder {
+    buf: Vec<u8>,
+    nodes: u32,
+    edges: u32,
+}
+
+impl Encoder {
+    /// Starts an image for `key`, sized for about `entries` entries.
+    pub(crate) fn new(key: SnapshotKey, entries: usize) -> Self {
+        let mut buf = Vec::with_capacity(64 + entries * 48);
+        buf.extend_from_slice(&MAGIC);
+        put_u32(&mut buf, FORMAT_VERSION);
+        put_u64(&mut buf, key.kb_content_hash);
+        put_u64(&mut buf, key.schema_fingerprint);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 0);
+        Self {
+            buf,
+            nodes: 0,
+            edges: 0,
+        }
+    }
+
+    /// Appends one `(schema node, value) → candidates` entry.
+    pub(crate) fn node(&mut self, sn: &SchemaNode, value: &str, cands: &[Node]) {
+        debug_assert_eq!(self.edges, 0, "node entries precede edge entries");
+        let buf = &mut self.buf;
+        put_schema_node(buf, sn);
+        put_str(buf, value);
+        put_u32(buf, cands.len() as u32);
+        for &c in cands {
+            put_node(buf, c);
+        }
+        self.nodes += 1;
+    }
+
+    /// Appends one `(edge signature, from, to) → (ok, probed)` entry.
+    pub(crate) fn edge(
+        &mut self,
+        (from, rel, to): &EdgeSig,
+        from_value: &str,
+        to_value: &str,
+        ok: bool,
+        probed: &[InstanceId],
+    ) {
+        let buf = &mut self.buf;
+        put_schema_node(buf, from);
+        put_u32(buf, rel.index() as u32);
+        put_schema_node(buf, to);
+        put_str(buf, from_value);
+        put_str(buf, to_value);
+        buf.push(u8::from(ok));
+        put_u32(buf, probed.len() as u32);
+        for i in probed {
+            put_u32(buf, i.index() as u32);
+        }
+        self.edges += 1;
+    }
+
+    /// Entries appended so far.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes as usize + self.edges as usize
+    }
+
+    /// Patches the entry counts into the header and appends the checksum.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.buf[COUNTS_AT..COUNTS_AT + 4].copy_from_slice(&self.nodes.to_le_bytes());
+        self.buf[COUNTS_AT + 4..COUNTS_AT + 8].copy_from_slice(&self.edges.to_le_bytes());
+        let mut h = FxHasher::default();
+        h.write(&self.buf);
+        let checksum = h.finish();
+        put_u64(&mut self.buf, checksum);
+        self.buf
+    }
+}
+
+/// Serializes `payload` under `key` into the version-2 byte format,
 /// checksum included.
 pub fn encode(key: SnapshotKey, payload: &SnapshotPayload) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + payload.len() * 48);
-    buf.extend_from_slice(&MAGIC);
-    put_u32(&mut buf, FORMAT_VERSION);
-    put_u64(&mut buf, key.kb_content_hash);
-    put_u64(&mut buf, key.schema_fingerprint);
-    put_u32(&mut buf, payload.nodes.len() as u32);
-    put_u32(&mut buf, payload.edges.len() as u32);
+    let mut enc = Encoder::new(key, payload.len());
     for (sn, value, cands) in &payload.nodes {
-        put_schema_node(&mut buf, sn);
-        put_str(&mut buf, value);
-        put_u32(&mut buf, cands.len() as u32);
-        for &c in cands {
-            put_node(&mut buf, c);
-        }
+        enc.node(sn, value, cands);
     }
-    for ((from, rel, to), from_value, to_value, ok, probed) in &payload.edges {
-        put_schema_node(&mut buf, from);
-        put_u32(&mut buf, rel.index() as u32);
-        put_schema_node(&mut buf, to);
-        put_str(&mut buf, from_value);
-        put_str(&mut buf, to_value);
-        buf.push(u8::from(*ok));
-        put_u32(&mut buf, probed.len() as u32);
-        for i in probed {
-            put_u32(&mut buf, i.index() as u32);
-        }
+    for (sig, from_value, to_value, ok, probed) in &payload.edges {
+        enc.edge(sig, from_value, to_value, *ok, probed);
     }
-    let mut h = FxHasher::default();
-    h.write(&buf);
-    let checksum = h.finish();
-    put_u64(&mut buf, checksum);
-    buf
+    enc.finish()
 }
 
 // ----- decoding -----------------------------------------------------------
@@ -498,13 +562,22 @@ pub fn decode(bytes: &[u8], expected: SnapshotKey) -> Result<SnapshotPayload, Sn
 /// concurrent reader sees either the old snapshot or the new one, never a
 /// torn write. The temp name carries the pid *and* a process-global write
 /// counter: two concurrent persists of the same key — two processes, or two
-/// in-process callers (the server persists after every repair request) —
-/// each own their temp file, so neither can truncate the other mid-write
-/// and rename a torn snapshot. Creates `dir` if missing.
+/// in-process callers (a server's background flusher and an eviction
+/// write-back) — each own their temp file, so neither can truncate the
+/// other mid-write and rename a torn snapshot. Creates `dir` if missing.
 pub fn write_snapshot(
     dir: &Path,
     key: SnapshotKey,
     payload: &SnapshotPayload,
+) -> Result<PathBuf, SnapshotError> {
+    write_snapshot_bytes(dir, key, &encode(key, payload))
+}
+
+/// [`write_snapshot`] for an already encoded image.
+pub(crate) fn write_snapshot_bytes(
+    dir: &Path,
+    key: SnapshotKey,
+    bytes: &[u8],
 ) -> Result<PathBuf, SnapshotError> {
     static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     std::fs::create_dir_all(dir)?;
@@ -516,10 +589,9 @@ pub fn write_snapshot(
         std::process::id(),
         WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
-    let bytes = encode(key, payload);
     {
         let mut f = std::fs::File::create(&tmp_path)?;
-        f.write_all(&bytes)?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     if let Err(e) = std::fs::rename(&tmp_path, &final_path) {

@@ -34,10 +34,10 @@
 
 use crate::context::MatchContext;
 use crate::graph::schema::{NodeType, SchemaNode};
-use crate::repair::snapshot::SnapshotPayload;
+use crate::repair::snapshot::{Encoder, SnapshotKey, SnapshotPayload};
 use dr_kb::{FxHashMap, InstanceId, KbFootprint, Node, PredId};
 use dr_obs::{Counter, MetricRegistry};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -280,6 +280,11 @@ struct ClockShard<K, V> {
     ring: VecDeque<K>,
     /// Entry cap (`0` = unbounded).
     cap: usize,
+    /// Inserts plus removals (evictions, invalidation) so far. Bumped
+    /// under the write lock the change already holds, so tracking costs
+    /// the miss path no shared atomic; [`ValueCache::change_count`] sums
+    /// it across shards to tell a clean cache from a changed one.
+    changes: u64,
 }
 
 impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
@@ -288,6 +293,7 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
             map: FxHashMap::default(),
             ring: VecDeque::new(),
             cap,
+            changes: 0,
         }
     }
 
@@ -326,6 +332,7 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
             std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
                 self.ring.push_back(key);
+                self.changes += 1 + evicted;
                 v.insert(ClockEntry::new(value))
             }
         };
@@ -343,6 +350,7 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
         self.map.retain(|k, e| keep(k, &e.value));
         if self.map.len() != before {
             self.ring.retain(|k| self.map.contains_key(k));
+            self.changes += (before - self.map.len()) as u64;
         }
         (before - self.map.len()) as u64
     }
@@ -387,6 +395,12 @@ impl<K: Hash + Eq + Clone, V> ClockShard<K, V> {
     }
 }
 
+/// One entry seen by [`ValueCache::walk_hottest`].
+enum Visit<'a> {
+    Node(&'a NodeKey, &'a [Node]),
+    Edge(&'a EdgeKey, &'a EdgeEntry),
+}
+
 /// A relation-scoped (or, via the registry, schema-scoped), thread-safe
 /// element cache keyed by cell values.
 pub struct ValueCache {
@@ -403,6 +417,10 @@ pub struct ValueCache {
     evictions: Counter,
     snapshot_warm: Counter,
     snapshot_cold: Counter,
+    /// The key and [`ValueCache::change_count`] of the last snapshot
+    /// written to disk, `None` before the first. Held across a save, so
+    /// two savers of one cache take turns and the second sees it clean.
+    last_save: Mutex<Option<(SnapshotKey, u64)>>,
 }
 
 impl Default for ValueCache {
@@ -442,6 +460,7 @@ impl ValueCache {
             evictions: Counter::new(),
             snapshot_warm: Counter::new(),
             snapshot_cold: Counter::new(),
+            last_save: Mutex::new(None),
         }
     }
 
@@ -632,36 +651,83 @@ impl ValueCache {
 
     // ----- disk snapshots (DESIGN.md §4a, level 0 persistence) -----------
 
-    /// Exports up to `max_entries` entries (`0` = everything) as a portable
-    /// [`SnapshotPayload`], hottest first per shard. The budget is split the
-    /// same way the live cache splits its own entry budget: evenly across
-    /// shards, half to node entries and half to edge entries — so a bounded
-    /// persist keeps the clock-protected working set of every shard.
-    pub fn export_hottest(&self, max_entries: usize) -> SnapshotPayload {
-        let shards = self.shard_count();
+    /// Visits up to `max_entries` entries (`0` = everything), hottest first
+    /// per shard: every node shard, then every edge shard. The budget is
+    /// split the same way the live cache splits its own entry budget:
+    /// evenly across shards, half to node entries and half to edge entries
+    /// — so a bounded persist keeps the clock-protected working set of
+    /// every shard.
+    fn walk_hottest(&self, max_entries: usize, mut visit: impl FnMut(Visit<'_>)) {
         let per_shard = if max_entries == 0 {
             0
         } else {
-            (max_entries / (2 * shards)).max(1)
+            (max_entries / (2 * self.shard_count())).max(1)
         };
-        let mut payload = SnapshotPayload::default();
         for shard in &self.nodes {
-            shard.read().export(per_shard, |(sn, value), cands| {
-                payload.nodes.push((*sn, value.clone(), (**cands).clone()));
-            });
+            shard
+                .read()
+                .export(per_shard, |key, cands| visit(Visit::Node(key, cands)));
         }
         for shard in &self.edges {
-            shard.read().export(per_shard, |(sig, from, to), entry| {
-                payload.edges.push((
-                    *sig,
-                    from.clone(),
-                    to.clone(),
-                    entry.ok,
-                    entry.probed.clone(),
-                ));
-            });
+            shard
+                .read()
+                .export(per_shard, |key, entry| visit(Visit::Edge(key, entry)));
         }
+    }
+
+    /// Exports up to `max_entries` entries (`0` = everything) as a portable
+    /// [`SnapshotPayload`], in [`Self::encode_hottest`]'s order.
+    pub fn export_hottest(&self, max_entries: usize) -> SnapshotPayload {
+        let mut payload = SnapshotPayload::default();
+        self.walk_hottest(max_entries, |entry| match entry {
+            Visit::Node((sn, value), cands) => {
+                payload.nodes.push((*sn, value.clone(), cands.to_vec()));
+            }
+            Visit::Edge((sig, from, to), e) => {
+                payload
+                    .edges
+                    .push((*sig, from.clone(), to.clone(), e.ok, e.probed.clone()));
+            }
+        });
         payload
+    }
+
+    /// The `.drsnap` image of up to `max_entries` entries under `key`,
+    /// encoded straight from the shards: byte-identical to
+    /// `snapshot::encode(key, &self.export_hottest(max_entries))`, without
+    /// building that payload copy first.
+    pub fn encode_hottest(&self, key: SnapshotKey, max_entries: usize) -> Vec<u8> {
+        self.encode_counted(key, max_entries).0
+    }
+
+    /// [`Self::encode_hottest`] plus the number of entries encoded.
+    pub(crate) fn encode_counted(&self, key: SnapshotKey, max_entries: usize) -> (Vec<u8>, usize) {
+        let live = self.len();
+        let hint = if max_entries == 0 {
+            live
+        } else {
+            live.min(max_entries)
+        };
+        let mut enc = Encoder::new(key, hint);
+        self.walk_hottest(max_entries, |entry| match entry {
+            Visit::Node((sn, value), cands) => enc.node(sn, value, cands),
+            Visit::Edge((sig, from, to), e) => enc.edge(sig, from, to, e.ok, &e.probed),
+        });
+        let entries = enc.len();
+        (enc.finish(), entries)
+    }
+
+    /// Inserts plus removals since the cache was created; it only grows,
+    /// so an unchanged count means unchanged contents.
+    pub(crate) fn change_count(&self) -> u64 {
+        self.nodes.iter().map(|s| s.read().changes).sum::<u64>()
+            + self.edges.iter().map(|s| s.read().changes).sum::<u64>()
+    }
+
+    /// The record of the last disk save, locked for the duration of a new
+    /// one (see [`CacheRegistry::persist`](crate::repair::registry::CacheRegistry::persist)).
+    pub(crate) fn last_save(&self) -> MutexGuard<'_, Option<(SnapshotKey, u64)>> {
+        self.last_save.lock()
     }
 
     /// Seeds the cache from a decoded snapshot, returning how many entries

@@ -207,8 +207,9 @@ fn main() {
 
     // Serve until signalled. SIGTERM/SIGINT drains gracefully: readiness
     // flips, in-flight streams finish under --drain-ms, snapshots and the
-    // obs dump are flushed, and the process exits 0. A SIGKILL still
-    // loses nothing vital — the registry persists after every repair.
+    // obs dump are flushed, and the process exits 0. A SIGKILL loses at
+    // most the cache changes the background flusher had not yet written:
+    // the next boot starts colder, never wrong.
     #[cfg(unix)]
     {
         sig::install();

@@ -285,9 +285,10 @@ fn kb_delta(state: &ServerState, kb_name: &str, req: &Request) -> Response {
                 .metrics()
                 .counter("kb_delta_applied_total", &[("kb", &entry.name)])
                 .inc();
-            // Re-keyed snapshots carry the new content hash; flush them so
-            // a restart against the post-delta KB warm-loads.
-            state.registry.persist();
+            // Re-keyed caches carry the new content hash; the flusher
+            // writes them under it, so a restart against the post-delta KB
+            // warm-loads.
+            state.flusher.mark();
             let mut body = String::from("{\"kb\":\"");
             escape_into(&mut body, &entry.name);
             body.push_str(&format!(
@@ -511,10 +512,9 @@ fn repair(state: &ServerState, kb_name: &str, req: &Request) -> Response {
     report.resilience.add_quarantined(quarantine.quarantined());
     entry.health.record(report.resilience.failed == 0);
 
-    // Persist after every repair: the snapshot directory stays current
-    // even if the process is killed, and concurrent requests exercising
-    // the same key exercise the atomic-publish path on purpose.
-    state.registry.persist();
+    // The flusher writes the caches this repair changed off the request
+    // path; a drain flushes whatever it has not written yet.
+    state.flusher.mark();
 
     state
         .obs

@@ -22,7 +22,9 @@
 //! KB carries a health breaker that fails fast when repairs keep failing,
 //! and [`Server::drain`] turns SIGTERM into a graceful exit: `/readyz`
 //! goes 503, accepting stops, in-flight streams finish under a deadline,
-//! and `.drsnap` snapshots are flushed.
+//! and `.drsnap` snapshots are flushed. Between drains, one background
+//! flusher ([`state::Flusher`]) writes changed caches to `--cache-dir`,
+//! so no repair waits on the disk.
 //!
 //! Endpoints:
 //!
@@ -71,8 +73,8 @@ use crate::admission::AcceptBackoff;
 pub use admission::{Admission, AdmissionConfig, AdmissionGate, Permit, ShedReason};
 pub use handlers::{handle, Body, Response};
 pub use state::{
-    build_state, Breaker, DeltaApplyError, DeltaOutcome, ImageFamily, KbCore, KbEntry, KbSpec,
-    Lifecycle, OwnedKb, RequestTrace, ServeConfig, ServerState,
+    build_state, Breaker, DeltaApplyError, DeltaOutcome, Flusher, ImageFamily, KbCore, KbEntry,
+    KbSpec, Lifecycle, OwnedKb, RequestTrace, ServeConfig, ServerState,
 };
 
 /// A bound, running server: a shared listener drained by a fixed pool of
@@ -171,8 +173,9 @@ impl Server {
 
     /// Graceful drain (DESIGN.md §9): flips `/readyz` to 503 and refuses
     /// new repairs, stops accepting, waits up to `deadline` for in-flight
-    /// requests to finish, then flushes `.drsnap` snapshots. Returns
-    /// whether every in-flight request completed within the deadline.
+    /// requests to finish, stops the background flusher, then flushes
+    /// `.drsnap` snapshots synchronously. Returns whether every in-flight
+    /// request completed within the deadline.
     ///
     /// Keep-alive connections close after their current response (the
     /// connection loop checks the drain flag), so an idle connection never
@@ -187,7 +190,10 @@ impl Server {
         }
         let drained = self.state.lifecycle.active() == 0;
         // Flush snapshots even on a missed deadline: whatever finished is
-        // worth keeping, and persist() publishes atomically.
+        // worth keeping, and persist() publishes atomically. The flusher
+        // stops first, so this is the only writer and nothing it marked
+        // is left unwritten.
+        self.state.flusher.stop();
         self.state.registry.persist();
         drained
     }

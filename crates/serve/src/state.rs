@@ -15,6 +15,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dr_core::{CacheRegistry, IndexMemo, MatchContext, RegistryConfig, RepairBudget, RetryPolicy};
@@ -376,6 +377,109 @@ impl Breaker {
     }
 }
 
+/// The server's one background snapshot writer (DESIGN.md §4a, level −1).
+///
+/// Repairs and deltas change value caches; instead of writing `.drsnap`
+/// files inside the request, they [`mark`](Self::mark) the flusher, and
+/// its thread runs [`CacheRegistry::persist`] off the request path. Marks
+/// that arrive while a persist runs collapse into one more pass, so a busy
+/// server persists back to back and an idle one not at all. A registry
+/// without a cache dir gets no thread: marking is then a no-op.
+///
+/// [`stop`](Self::stop) (also run on drop) lets a running persist finish,
+/// drops a pending mark and joins the thread; the final flush belongs to
+/// [`Server::drain`](crate::Server::drain).
+pub struct Flusher {
+    signal: Arc<FlushSignal>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct FlushSignal {
+    state: std::sync::Mutex<FlushState>,
+    wake: std::sync::Condvar,
+}
+
+impl FlushSignal {
+    /// Locks the state. Nothing panics while holding it, so poisoning
+    /// carries no broken invariant and is ignored.
+    fn lock(&self) -> std::sync::MutexGuard<'_, FlushState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+#[derive(Default)]
+struct FlushState {
+    pending: bool,
+    stop: bool,
+}
+
+impl Flusher {
+    /// Spawns the flusher thread when `registry` persists to a cache dir.
+    pub(crate) fn spawn(registry: &Arc<CacheRegistry>) -> std::io::Result<Self> {
+        let signal = Arc::new(FlushSignal::default());
+        let thread = match registry.config().cache_dir {
+            None => None,
+            Some(_) => {
+                let signal = Arc::clone(&signal);
+                let registry = Arc::clone(registry);
+                let handle = std::thread::Builder::new()
+                    .name("dr-serve-flush".into())
+                    .spawn(move || loop {
+                        {
+                            let mut state = signal.lock();
+                            while !state.pending && !state.stop {
+                                state = signal.wake.wait(state).unwrap_or_else(|e| e.into_inner());
+                            }
+                            if state.stop {
+                                return;
+                            }
+                            state.pending = false;
+                        }
+                        registry.persist();
+                    })?;
+                Some(handle)
+            }
+        };
+        Ok(Self {
+            signal,
+            thread: Mutex::new(thread),
+        })
+    }
+
+    /// Asks for a persist pass soon. Never blocks on disk I/O.
+    pub fn mark(&self) {
+        let mut state = self.signal.lock();
+        if !state.pending {
+            state.pending = true;
+            self.signal.wake.notify_one();
+        }
+    }
+
+    /// Whether the flusher thread is running.
+    pub fn is_running(&self) -> bool {
+        self.thread.lock().is_some()
+    }
+
+    /// Stops and joins the thread. Idempotent.
+    pub fn stop(&self) {
+        let Some(handle) = self.thread.lock().take() else {
+            return;
+        };
+        self.signal.lock().stop = true;
+        self.signal.wake.notify_one();
+        if handle.join().is_err() {
+            eprintln!("dr-serve: the snapshot flusher panicked; later marks were not written");
+        }
+    }
+}
+
+impl Drop for Flusher {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 /// Distinct `?label=` values that get their own `serve_repair_seconds`
 /// series. Later values share `label="other"`, so clients cannot grow the
 /// metric registry without bound.
@@ -402,6 +506,8 @@ pub struct ServerState {
     /// The `?label=` values admitted as `serve_repair_seconds` series, at
     /// most [`MAX_REPAIR_LABELS`].
     pub repair_labels: Mutex<Vec<String>>,
+    /// Writes changed value caches to `--cache-dir` off the request path.
+    pub flusher: Flusher,
 }
 
 /// A live capture armed for one request: the shared trace plus the root
@@ -782,7 +888,10 @@ pub fn build_state(
             keep_errors: config.trace_errors,
         },
     );
+    let flusher =
+        Flusher::spawn(&registry).map_err(|e| format!("spawn the snapshot flusher: {e}"))?;
     Ok(ServerState {
+        flusher,
         entries,
         registry,
         obs,
